@@ -17,6 +17,7 @@ from repro.decoders.base import (
     BatchDecodeResult,
     DecodeResult,
     Decoder,
+    distribute_batch_time,
 )
 from repro.decoders.bp import MinSumBP
 from repro.decoders.layered import LayeredMinSumBP
@@ -62,21 +63,26 @@ class BPOSDDecoder(Decoder):
 
         The OSD stage is an inherently sequential Gaussian-elimination
         search, so it runs per failing shot; everything else stays in
-        array columns (``stage`` marks which shots it rescued and
-        ``time_seconds`` carries its per-shot cost).
+        array columns (``stage`` marks which shots it rescued).
+        ``time_seconds`` charges the BP stage's wall time to shots by
+        iterations (:func:`distribute_batch_time`) and adds each OSD
+        shot's own OSD time, so the column sums to the time spent
+        decoding.
         """
         syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
+        start = time.perf_counter()
         bp = self.bp.decode_many(syndromes)
+        distribute_batch_time(bp, time.perf_counter() - start)
         errors = bp.errors.copy()
         converged = bp.converged.copy()
         stage = np.where(converged, "initial", "failed").astype(_STAGE_DTYPE)
-        time_seconds = np.zeros(len(bp), dtype=np.float64)
+        time_seconds = bp.time_seconds
         for i in np.nonzero(~bp.converged)[0]:
             start = time.perf_counter()
             error = self.osd.decode_from_marginals(
                 syndromes[i], bp.marginals[i]
             )
-            time_seconds[i] = time.perf_counter() - start
+            time_seconds[i] += time.perf_counter() - start
             if error is not None:
                 errors[i] = error
                 converged[i] = True

@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from repro.gf2 import ColumnOrderedRREF
+from repro.gf2 import AugmentedMatrix, ColumnOrderedRREF
 from repro.problem import DecodingProblem
 
 __all__ = ["OrderedStatisticsDecoder"]
@@ -52,7 +52,7 @@ class OrderedStatisticsDecoder:
         self.order = int(order)
         self.method = method
         self.weighting = weighting
-        self._h_dense = problem.check_matrix.toarray().astype(np.uint8)
+        self._augmented = AugmentedMatrix.pack(problem.check_matrix)
         if weighting == "soft":
             self._weights = problem.llr_priors()
         else:
@@ -68,7 +68,7 @@ class OrderedStatisticsDecoder:
         syndrome = np.asarray(syndrome, dtype=np.uint8).reshape(-1)
         marginal_llrs = np.asarray(marginal_llrs, dtype=np.float64).reshape(-1)
         order_cols = np.argsort(marginal_llrs, kind="stable")
-        rref = ColumnOrderedRREF(self._h_dense, order_cols)
+        rref = ColumnOrderedRREF(self._augmented, order_cols)
         pivot_rhs, consistent = rref.reduce_vector(syndrome)
         if not consistent:
             return None
@@ -77,10 +77,9 @@ class OrderedStatisticsDecoder:
         if self.method == "0" or self.order == 0:
             return base
 
-        pivot_set = set(int(c) for c in rref.pivot_cols)
-        t_cols = np.asarray(
-            [c for c in order_cols if int(c) not in pivot_set], dtype=np.intp
-        )
+        is_pivot = np.zeros(rref.n_cols, dtype=bool)
+        is_pivot[rref.pivot_cols] = True
+        t_cols = order_cols[~is_pivot[order_cols]]
         if t_cols.size == 0:
             return base
 

@@ -32,7 +32,7 @@ from repro.gf2.dense import (
     RowSpace,
     solve,
 )
-from repro.gf2.elimination import ColumnOrderedRREF
+from repro.gf2.elimination import AugmentedMatrix, ColumnOrderedRREF
 from repro.gf2.packed import (
     column_of,
     pack_rows,
@@ -54,6 +54,7 @@ __all__ = [
     "row_reduce",
     "RowSpace",
     "solve",
+    "AugmentedMatrix",
     "ColumnOrderedRREF",
     "pack_rows",
     "unpack_rows",

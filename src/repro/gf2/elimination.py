@@ -7,18 +7,67 @@ statistics decoding (OSD) needs: the order encodes bit reliabilities,
 the pivot columns become the information set, and candidate solutions
 for any syndrome are then produced by cheap XOR combinations.
 
-The row-operation history is tracked in a packed transform matrix so
-that syndromes can be reduced after the fact without re-running the
-elimination.
+The matrix and its row-operation history live side by side in one
+packed block ``[H | I]`` (:class:`AugmentedMatrix`), so every row
+operation is a single XOR and syndromes can be reduced after the fact
+without re-running the elimination.  A caller that eliminates the same
+matrix under many column orders (OSD, once per failing shot) packs the
+block once and hands the :class:`AugmentedMatrix` in.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Iterable, TypeAlias
+
 import numpy as np
+import numpy.typing as npt
 
 from repro.gf2.packed import column_of, pack_rows, unpack_rows, words_needed
 
-__all__ = ["ColumnOrderedRREF"]
+__all__ = ["AugmentedMatrix", "ColumnOrderedRREF"]
+
+#: A dense binary matrix (array-like) or a scipy sparse matrix.
+MatrixLike: TypeAlias = Any
+
+#: ``_BITS[b]`` has only bit ``b`` set: the mask of column ``b`` in its word.
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+@dataclass(frozen=True, eq=False)
+class AugmentedMatrix:
+    """``[H | I]`` bit-packed into one ``(m, words)`` ``uint64`` block.
+
+    The first :attr:`h_words` words of each row hold row ``i`` of ``H``
+    (layout of :func:`~repro.gf2.packed.pack_rows`); the remaining words
+    hold row ``i`` of the ``m × m`` identity, which elimination turns
+    into the transform recording every row operation.  Never mutated:
+    :class:`ColumnOrderedRREF` eliminates a copy.
+    """
+
+    block: npt.NDArray[np.uint64]
+    n_rows: int
+    n_cols: int
+
+    @classmethod
+    def pack(cls, mat: MatrixLike) -> AugmentedMatrix:
+        """Pack a binary matrix (dense or scipy sparse) beside ``I``."""
+        if hasattr(mat, "toarray"):
+            mat = mat.toarray()
+        dense = np.asarray(mat, dtype=np.uint8) % 2
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {dense.shape}")
+        n_rows, n_cols = dense.shape
+        block = np.concatenate(
+            [pack_rows(dense), pack_rows(np.eye(n_rows, dtype=np.uint8))],
+            axis=1,
+        )
+        return cls(block=block, n_rows=n_rows, n_cols=n_cols)
+
+    @property
+    def h_words(self) -> int:
+        """Words per row holding ``H``; the transform starts after them."""
+        return words_needed(self.n_cols)
 
 
 class ColumnOrderedRREF:
@@ -27,12 +76,22 @@ class ColumnOrderedRREF:
     Parameters
     ----------
     mat:
-        Binary matrix ``(m, n)`` (dense array-like or scipy sparse).
+        Binary matrix ``(m, n)`` (dense array-like or scipy sparse), or
+        an :class:`AugmentedMatrix` packed from one ahead of time.
     column_order:
         Permutation (or prefix) of ``range(n)``.  Pivots are selected
-        greedily scanning columns in this order; columns never reached
-        after the rank is saturated are skipped cheaply.  Defaults to
+        greedily scanning columns in this order: a column becomes the
+        next pivot when some not-yet-pivoted ("live") row has a 1 in
+        it, and the pivot row is the first such live row.  Defaults to
         natural order.
+
+    The search works per pivot, not per column: it OR-reduces the live
+    rows into a packed mask and jumps to the first remaining column of
+    ``column_order`` whose mask bit is set.  A column with no live 1
+    stays that way (row operations only add live rows to other rows),
+    so the scan position never moves back, and the elimination stops
+    at the true rank — when no remaining column has a live 1 — even
+    when the rank is below the row count.
 
     Attributes
     ----------
@@ -44,50 +103,61 @@ class ColumnOrderedRREF:
         row ``i`` of the reduced matrix.
     """
 
-    def __init__(self, mat, column_order=None):
-        if hasattr(mat, "toarray"):
-            mat = mat.toarray()
-        dense = np.asarray(mat, dtype=np.uint8) % 2
-        if dense.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {dense.shape}")
-        self.n_rows, self.n_cols = dense.shape
+    def __init__(
+        self,
+        mat: MatrixLike | AugmentedMatrix,
+        column_order: npt.ArrayLike | None = None,
+    ) -> None:
+        aug = (
+            mat if isinstance(mat, AugmentedMatrix)
+            else AugmentedMatrix.pack(mat)
+        )
+        self.n_rows, self.n_cols = aug.n_rows, aug.n_cols
+        order: npt.NDArray[np.intp]
         if column_order is None:
-            column_order = np.arange(self.n_cols)
+            order = np.arange(self.n_cols, dtype=np.intp)
         else:
-            column_order = np.asarray(column_order, dtype=np.intp)
+            order = np.asarray(column_order, dtype=np.intp).reshape(-1)
 
-        rows = pack_rows(dense)
-        transform = pack_rows(np.eye(self.n_rows, dtype=np.uint8))
-
+        h_words = aug.h_words
+        block = aug.block.copy()
         pivot_cols: list[int] = []
         r = 0
-        for c in column_order:
-            if r == self.n_rows:
+        pos = 0
+        while r < self.n_rows and pos < order.size:
+            live = np.bitwise_or.reduce(block[r:, :h_words], axis=0)
+            live_bits = np.unpackbits(live.view(np.uint8), bitorder="little")
+            remaining = live_bits[order[pos:]]
+            skip = int(remaining.argmax())
+            if not remaining[skip]:
                 break
-            col = column_of(rows, int(c))
-            below = np.nonzero(col[r:])[0]
-            if below.size == 0:
-                continue
-            pivot = r + int(below[0])
+            pos += skip
+            c = int(order[pos])
+            pos += 1
+            # Every nonzero entry equals the column's bit mask, so the
+            # first maximum is the first live row with a 1.
+            col = block[:, c >> 6] & _BITS[c & 63]
+            pivot = r + int(col[r:].argmax())
+            # Clear every other row holding a 1 in ``c``, then move the
+            # pivot row up to position ``r`` (row ``r`` itself has no 1
+            # in ``c`` unless it is the pivot, so it is never a target).
+            col[pivot] = 0
+            block[col.nonzero()[0]] ^= block[pivot]
             if pivot != r:
-                rows[[r, pivot]] = rows[[pivot, r]]
-                transform[[r, pivot]] = transform[[pivot, r]]
-                col[[r, pivot]] = col[[pivot, r]]
-            targets = np.nonzero(col)[0]
-            targets = targets[targets != r]
-            if targets.size:
-                rows[targets] ^= rows[r]
-                transform[targets] ^= transform[r]
-            pivot_cols.append(int(c))
+                swapped = block[r].copy()
+                block[r] = block[pivot]
+                block[pivot] = swapped
+            pivot_cols.append(c)
             r += 1
 
         self.rank = r
         self.pivot_cols = np.asarray(pivot_cols, dtype=np.intp)
-        self._rows = rows
-        self._transform = transform
-        self._syndrome_words = words_needed(self.n_rows)
+        self._rows = block[:, :h_words]
+        self._transform = block[:, h_words:]
 
-    def reduce_vector(self, rhs) -> tuple[np.ndarray, bool]:
+    def reduce_vector(
+        self, rhs: npt.ArrayLike
+    ) -> tuple[npt.NDArray[np.uint8], bool]:
         """Apply the recorded row operations to a right-hand side.
 
         Returns ``(pivot_part, consistent)`` where ``pivot_part`` has one
@@ -108,21 +178,22 @@ class ColumnOrderedRREF:
         consistent = not reduced[self.rank:].any()
         return pivot_part, consistent
 
-    def reduced_column(self, j: int) -> np.ndarray:
+    def reduced_column(self, j: int) -> npt.NDArray[np.uint8]:
         """Column ``j`` of the reduced matrix, restricted to pivot rows."""
         return column_of(self._rows[: self.rank], j)
 
-    def reduced_columns(self, cols) -> np.ndarray:
+    def reduced_columns(self, cols: npt.ArrayLike) -> npt.NDArray[np.uint8]:
         """Dense ``(rank, len(cols))`` block of reduced columns.
 
         Used by OSD's combination sweep to score many single-bit flips
         in one vectorised pass.
         """
-        cols = np.asarray(cols, dtype=np.intp)
         dense = unpack_rows(self._rows[: self.rank], self.n_cols)
-        return dense[:, cols]
+        return dense[:, np.asarray(cols, dtype=np.intp)]
 
-    def solve_with_flips(self, pivot_rhs, flip_cols=()) -> np.ndarray:
+    def solve_with_flips(
+        self, pivot_rhs: npt.ArrayLike, flip_cols: Iterable[int] = ()
+    ) -> npt.NDArray[np.uint8]:
         """Solution of ``mat @ e = rhs`` with chosen non-pivot bits set.
 
         ``pivot_rhs`` must come from :meth:`reduce_vector`.  All

@@ -9,6 +9,7 @@ matrices routinely have several thousand columns.
 from __future__ import annotations
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = ["pack_rows", "unpack_rows", "column_of", "popcount_rows", "words_needed"]
 
@@ -18,7 +19,7 @@ def words_needed(n_cols: int) -> int:
     return (n_cols + 63) // 64
 
 
-def pack_rows(mat) -> np.ndarray:
+def pack_rows(mat: npt.ArrayLike) -> npt.NDArray[np.uint64]:
     """Pack the rows of a binary matrix into ``uint64`` words.
 
     Column ``j`` of the input is stored in bit ``j % 64`` of word
@@ -39,22 +40,28 @@ def pack_rows(mat) -> np.ndarray:
     return packed_bytes.view(np.uint64).reshape(n_rows, n_words)
 
 
-def unpack_rows(packed, n_cols: int) -> np.ndarray:
+def unpack_rows(
+    packed: npt.ArrayLike, n_cols: int
+) -> npt.NDArray[np.uint8]:
     """Inverse of :func:`pack_rows`; returns a ``(n_rows, n_cols)`` uint8 matrix."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    n_rows = packed.shape[0]
-    as_bytes = packed.view(np.uint8).reshape(n_rows, -1)
+    words = np.ascontiguousarray(packed, dtype=np.uint64)
+    n_rows, n_words = words.shape
+    as_bytes = words.view(np.uint8).reshape(n_rows, n_words * 8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :n_cols]
 
 
-def column_of(packed, j: int) -> np.ndarray:
+def column_of(
+    packed: npt.NDArray[np.uint64], j: int
+) -> npt.NDArray[np.uint8]:
     """Extract column ``j`` across all packed rows as a uint8 vector."""
     word = j >> 6
     bit = j & 63
     return ((packed[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
 
 
-def popcount_rows(packed) -> np.ndarray:
+def popcount_rows(
+    packed: npt.NDArray[np.uint64],
+) -> npt.NDArray[np.int64]:
     """Number of set bits in each packed row."""
     return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)

@@ -31,6 +31,10 @@ class TestPackUnpack:
         mat = np.zeros((3, 130), dtype=np.uint8)
         assert packed.pack_rows(mat).shape == (3, 3)
 
+    def test_unpack_zero_rows(self):
+        empty = packed.pack_rows(np.zeros((0, 130), dtype=np.uint8))
+        assert packed.unpack_rows(empty, 130).shape == (0, 130)
+
 
 class TestColumnOf:
     @given(binary_matrices(), st.integers(0, 2**16))
